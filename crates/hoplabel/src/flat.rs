@@ -1,5 +1,5 @@
-//! Flat **CSR-slab codec** for label sets — the `kosr-index` v2 snapshot's
-//! building block.
+//! Flat **CSR-slab codec** for label sets — the `kosr-index` flat-arena
+//! snapshot's building block.
 //!
 //! Where [`crate::codec`] writes each set length-prefixed (forcing the
 //! decoder to walk entry by entry), this module lays a whole family of

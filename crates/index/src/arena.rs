@@ -1,13 +1,14 @@
-//! The **v2 flat-arena snapshot codec**: the whole index — graph CSR,
-//! 2-hop labels, category tables, *and* the inverted label indexes — laid
-//! out as offset-addressed slabs so a cold replica's install is O(bytes)
-//! of bounds-checked reinterpretation instead of the v1 rebuild (per-edge
-//! builder inserts, per-entry label inserts, and a full inverted-index
-//! grouping pass over every category).
+//! The **flat-arena snapshot codec**: the whole index — graph CSR, 2-hop
+//! labels, category tables, *and* the inverted label indexes — laid out as
+//! offset-addressed slabs so a cold replica's install is O(bytes) of
+//! bounds-checked reinterpretation instead of a rebuild (no per-edge
+//! builder inserts, no per-entry label inserts, no inverted-index grouping
+//! pass). This is the one index format the transport ships: its version
+//! byte is `2`, and a blob bearing any other version is refused typed.
 //!
 //! Layout (little endian; all counts `u64`):
 //! ```text
-//! magic            : 8 bytes = b"KOSRSNP\0" (same as v1)
+//! magic            : 8 bytes = b"KOSRSNP\0"
 //! version          : u8 = 2
 //! counts           : 9 × u64 — n, m, ncats, lin_tot, lout_tot,
 //!                    name_tot, memb_tot, hub_tot, inv_tot
@@ -43,10 +44,44 @@ use kosr_hoplabel::{flat, flat::FlatError, HopLabels};
 
 use crate::bounds::CategoryBounds;
 use crate::inverted::{CategoryIndexSet, InvertedLabelIndex};
-use crate::snapshot::{SnapshotError, MAGIC};
+
+const MAGIC: &[u8; 8] = b"KOSRSNP\0";
 
 /// The flat-arena snapshot format version byte.
 pub const FLAT_SNAPSHOT_VERSION: u8 = 2;
+
+/// Why a snapshot blob could not be decoded.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SnapshotError {
+    /// The magic header is absent or wrong.
+    BadMagic,
+    /// The version byte names a format this build does not understand.
+    UnsupportedVersion {
+        /// The version byte found in the blob.
+        found: u8,
+    },
+    /// The blob ended before its declared contents.
+    Truncated,
+    /// The contents are internally inconsistent (out-of-range ids, bad
+    /// UTF-8 names, trailing bytes, …).
+    Corrupt(&'static str),
+}
+
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SnapshotError::BadMagic => write!(f, "bad snapshot magic"),
+            SnapshotError::UnsupportedVersion { found } => write!(
+                f,
+                "unsupported snapshot version {found} (expected {FLAT_SNAPSHOT_VERSION})"
+            ),
+            SnapshotError::Truncated => write!(f, "snapshot truncated"),
+            SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for SnapshotError {}
 
 /// Magic opening the optional trailing category-bounds section.
 const BOUNDS_MAGIC: &[u8; 4] = b"LBND";
@@ -63,31 +98,16 @@ impl From<FlatError> for SnapshotError {
     }
 }
 
-/// The snapshot-format version byte of a blob, if it bears the snapshot
-/// magic — the dispatch point between the v1 and v2 decoders. `None`
-/// means "not a snapshot at all" (callers fall through to the v1 decoder
-/// for its `BadMagic` error).
-pub fn blob_version(bytes: &[u8]) -> Option<u8> {
-    if bytes.len() > 8 && &bytes[..8] == MAGIC {
-        Some(bytes[8])
-    } else {
-        None
-    }
-}
-
-/// The `(hub_tot, inv_tot)` counts a v2 header declares for its
+/// The `(hub_tot, inv_tot)` counts a snapshot header declares for its
 /// inverted-index arenas — the list and entry totals across every
 /// category. Only meaningful for a blob that [`decode_snapshot_v2`] has
 /// already accepted (the decode proves the header honest); callers use it
 /// to report selectivity stats without re-walking the freshly built
-/// indexes. `None` when the blob is not a v2 snapshot or too short to
-/// carry a full header.
+/// indexes. `None` when the blob is not a flat-arena snapshot or too
+/// short to carry a full header.
 pub fn blob_inverted_counts(bytes: &[u8]) -> Option<(u64, u64)> {
-    if blob_version(bytes) != Some(FLAT_SNAPSHOT_VERSION) || bytes.len() < HEADER_LEN {
-        return None;
-    }
-    let c = &bytes[9..HEADER_LEN];
-    Some((read_u64(c, 7), read_u64(c, 8)))
+    let counts = Counts::read(bytes).ok()?;
+    Some((counts.hub_tot, counts.inv_tot))
 }
 
 /// The nine declared section counts of a v2 header.
@@ -105,6 +125,36 @@ struct Counts {
 }
 
 impl Counts {
+    /// Checks the magic and the version byte, then reads the declared
+    /// counts. The version is judged as soon as its byte exists, so a blob
+    /// of another format is refused as such even when its header is
+    /// shorter than ours.
+    fn read(bytes: &[u8]) -> Result<Counts, SnapshotError> {
+        if bytes.len() < 8 || &bytes[..8] != MAGIC {
+            return Err(SnapshotError::BadMagic);
+        }
+        match bytes.get(8) {
+            Some(&FLAT_SNAPSHOT_VERSION) => {}
+            Some(&found) => return Err(SnapshotError::UnsupportedVersion { found }),
+            None => return Err(SnapshotError::Truncated),
+        }
+        if bytes.len() < HEADER_LEN {
+            return Err(SnapshotError::Truncated);
+        }
+        let c = &bytes[9..HEADER_LEN];
+        Ok(Counts {
+            n: read_u64(c, 0),
+            m: read_u64(c, 1),
+            ncats: read_u64(c, 2),
+            lin_tot: read_u64(c, 3),
+            lout_tot: read_u64(c, 4),
+            name_tot: read_u64(c, 5),
+            memb_tot: read_u64(c, 6),
+            hub_tot: read_u64(c, 7),
+            inv_tot: read_u64(c, 8),
+        })
+    }
+
     /// Byte length of each section, in layout order. `None` when the
     /// arithmetic overflows — a lying header, refused before any
     /// allocation.
@@ -174,7 +224,7 @@ fn check_offsets(offsets: &[u8], k: usize, total: u64) -> Result<(), SnapshotErr
     Ok(())
 }
 
-/// A validated zero-copy view over a v2 snapshot blob.
+/// A validated zero-copy view over a snapshot blob.
 ///
 /// Construction ([`FlatSnapshot::validate`]) is total: any byte string —
 /// truncated, padded, bit-flipped, or adversarially crafted — yields a
@@ -222,28 +272,7 @@ impl<'a> FlatSnapshot<'a> {
     /// starts here and performs the content checks *while copying*, so the
     /// entry arenas are walked once instead of twice.
     fn validate_structure(bytes: &'a [u8]) -> Result<FlatSnapshot<'a>, SnapshotError> {
-        if bytes.len() < 8 || &bytes[..8] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        if bytes.len() < HEADER_LEN {
-            return Err(SnapshotError::Truncated);
-        }
-        let version = bytes[8];
-        if version != FLAT_SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion { found: version });
-        }
-        let c = &bytes[9..HEADER_LEN];
-        let counts = Counts {
-            n: read_u64(c, 0),
-            m: read_u64(c, 1),
-            ncats: read_u64(c, 2),
-            lin_tot: read_u64(c, 3),
-            lout_tot: read_u64(c, 4),
-            name_tot: read_u64(c, 5),
-            memb_tot: read_u64(c, 6),
-            hub_tot: read_u64(c, 7),
-            inv_tot: read_u64(c, 8),
-        };
+        let counts = Counts::read(bytes)?;
         // Vertex and edge ids are u32 throughout the index layer; a header
         // claiming more is either lying or a world this build cannot hold.
         if counts.n > u32::MAX as u64 || counts.m > u32::MAX as u64 {
@@ -471,7 +500,7 @@ impl<'a> FlatSnapshot<'a> {
     }
 
     /// Materialises the inverted label indexes straight from the arenas —
-    /// the grouping pass v1 installs pay is already baked into the blob,
+    /// the grouping pass a rebuild would pay is already baked into the blob,
     /// and the per-list `(dist, member)` order was enforced by
     /// [`FlatSnapshot::validate`], so no sorting runs here either.
     pub fn inverted(&self) -> CategoryIndexSet {
@@ -558,7 +587,7 @@ impl<'a> FlatSnapshot<'a> {
     }
 }
 
-/// Serializes a full index into one **v2** flat-arena blob. Deterministic:
+/// Serializes a full index into one flat-arena blob. Deterministic:
 /// the same index always produces the same bytes (hubs are emitted in
 /// ascending id order, not hash order).
 pub fn encode_snapshot_v2(
@@ -757,28 +786,9 @@ pub fn decode_snapshot_v2(
 /// recomputed from the header counts with checked arithmetic. Anything
 /// beyond this offset is the optional trailing bounds section.
 fn core_len(bytes: &[u8]) -> Result<usize, SnapshotError> {
-    if bytes.len() < 8 || &bytes[..8] != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    if bytes.len() < HEADER_LEN {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[8] != FLAT_SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion { found: bytes[8] });
-    }
-    let c = &bytes[9..HEADER_LEN];
-    let counts = Counts {
-        n: read_u64(c, 0),
-        m: read_u64(c, 1),
-        ncats: read_u64(c, 2),
-        lin_tot: read_u64(c, 3),
-        lout_tot: read_u64(c, 4),
-        name_tot: read_u64(c, 5),
-        memb_tot: read_u64(c, 6),
-        hub_tot: read_u64(c, 7),
-        inv_tot: read_u64(c, 8),
-    };
-    counts.expected_len().ok_or(SnapshotError::Truncated)
+    Counts::read(bytes)?
+        .expected_len()
+        .ok_or(SnapshotError::Truncated)
 }
 
 /// Serializes a full index **plus its category-pair lower-bound tables**
@@ -899,30 +909,6 @@ pub fn decode_snapshot_v2_full(
     Ok((graph, labels, inverted, bounds))
 }
 
-/// Transcodes a v2 blob down to the v1 wire format — the negotiated
-/// fallback the transports use when a fleet peer predates v2. The inverted
-/// arenas are dropped (v1 never carried them; the old peer rebuilds its
-/// own), so only the graph and labels are materialised here.
-pub fn downgrade(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
-    // A trailing bounds section (v1 never carried bounds either) is
-    // validated and then dropped along with the inverted arenas.
-    let core = core_len(bytes)?;
-    if bytes.len() < core {
-        return Err(SnapshotError::Truncated);
-    }
-    let view = FlatSnapshot::validate(&bytes[..core])?;
-    let graph = view.graph()?;
-    if bytes.len() > core {
-        decode_bounds_section(
-            &bytes[core..],
-            graph.categories().num_categories(),
-            graph.num_vertices(),
-        )?;
-    }
-    let labels = view.labels()?;
-    crate::snapshot::encode_snapshot(&graph, &labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -961,7 +947,7 @@ mod tests {
     fn roundtrip_preserves_everything() {
         let (g, labels, inverted) = world();
         let blob = encode_snapshot_v2(&g, &labels, &inverted);
-        assert_eq!(blob_version(&blob), Some(FLAT_SNAPSHOT_VERSION));
+        assert_eq!(blob[8], FLAT_SNAPSHOT_VERSION);
         let (g2, labels2, inverted2) = decode_snapshot_v2(&blob).unwrap();
         assert_eq!(g2.num_vertices(), g.num_vertices());
         assert_eq!(g2.num_edges(), g.num_edges());
@@ -1004,16 +990,10 @@ mod tests {
         let (g, labels, inverted) = world();
         let blob = encode_snapshot_v2(&g, &labels, &inverted);
         for cut in 0..blob.len() {
-            match FlatSnapshot::validate(&blob[..cut]) {
-                Err(
-                    SnapshotError::Truncated
-                    | SnapshotError::BadMagic
-                    | SnapshotError::Corrupt(_)
-                    | SnapshotError::UnsupportedVersion { .. },
-                ) => {}
-                Err(other) => panic!("cut={cut}: unexpected {other:?}"),
-                Ok(_) => panic!("cut={cut}: truncated blob validated"),
-            }
+            assert!(
+                FlatSnapshot::validate(&blob[..cut]).is_err(),
+                "cut={cut}: truncated blob validated"
+            );
         }
     }
 
@@ -1049,16 +1029,13 @@ mod tests {
     fn bad_magic_and_version_are_typed() {
         let (g, labels, inverted) = world();
         let mut blob = encode_snapshot_v2(&g, &labels, &inverted);
-        assert_eq!(blob_version(b"short"), None);
         let mut wrong = blob.clone();
         wrong[0] ^= 0xFF;
-        assert_eq!(blob_version(&wrong), None);
         assert!(matches!(
             FlatSnapshot::validate(&wrong),
             Err(SnapshotError::BadMagic)
         ));
         blob[8] = 99;
-        assert_eq!(blob_version(&blob), Some(99));
         assert!(matches!(
             FlatSnapshot::validate(&blob),
             Err(SnapshotError::UnsupportedVersion { found: 99 })
@@ -1113,8 +1090,6 @@ mod tests {
             decode_snapshot_v2(&blob),
             Err(SnapshotError::Corrupt(_))
         ));
-        // Downgrade drops the section but still validates it.
-        assert_eq!(downgrade(&blob).unwrap(), downgrade(&core).unwrap());
     }
 
     #[test]
@@ -1133,8 +1108,6 @@ mod tests {
             }
             other => panic!("unexpected: {other:?}"),
         }
-        // Same lie through the downgrade path.
-        assert!(downgrade(&bad).is_err());
         // A lying entry total is refused by the length check, not an
         // allocation attempt.
         let mut bad = blob.clone();
@@ -1166,17 +1139,6 @@ mod tests {
             decode_snapshot_v2_full(&bad),
             Err(SnapshotError::Corrupt(_))
         ));
-    }
-
-    #[test]
-    fn downgrade_matches_direct_v1_encode() {
-        let (g, labels, inverted) = world();
-        let v2 = encode_snapshot_v2(&g, &labels, &inverted);
-        let v1 = downgrade(&v2).unwrap();
-        assert_eq!(v1, crate::snapshot::encode_snapshot(&g, &labels).unwrap());
-        let (g2, labels2) = crate::snapshot::decode_snapshot(&v1).unwrap();
-        assert_eq!(g2.num_edges(), g.num_edges());
-        assert_eq!(labels2.num_entries(), labels.num_entries());
     }
 
     #[test]

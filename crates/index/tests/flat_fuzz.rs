@@ -1,17 +1,14 @@
-//! Fuzz/property suite for the **v2 flat-arena snapshot codec** — the
-//! same total-decode discipline the v1 snapshot and wire fuzz suites
-//! enforce: arbitrary bytes produce typed errors (never a panic, never an
-//! attacker-sized allocation), valid blobs survive mutation rounds with a
-//! typed outcome, and on random worlds the v1 and v2 paths reconstruct
-//! indexes that answer identically.
+//! Fuzz/property suite for the **flat-arena snapshot codec** — the same
+//! total-decode discipline the wire fuzz suite enforces: arbitrary bytes
+//! produce typed errors (never a panic, never an attacker-sized
+//! allocation), valid blobs survive mutation rounds with a typed outcome,
+//! and on random worlds the roundtrip is lossless.
 
 use kosr_graph::{CategoryId, Graph, VertexId};
 use kosr_hoplabel::{HopLabels, HubOrder};
 use kosr_index::arena::{
-    blob_version, decode_snapshot_v2, downgrade, encode_snapshot_v2, FlatSnapshot,
-    FLAT_SNAPSHOT_VERSION,
+    decode_snapshot_v2, encode_snapshot_v2, FlatSnapshot, SnapshotError, FLAT_SNAPSHOT_VERSION,
 };
-use kosr_index::snapshot::{decode_snapshot, encode_snapshot};
 use kosr_index::CategoryIndexSet;
 use proptest::prelude::*;
 
@@ -45,17 +42,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Raw fuzz: any byte vector validates to Ok or a typed error — no
-    /// panic from either codec or the version sniffer.
+    /// panic from the validator or the decoder.
     #[test]
     fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(proptest::bits::u8::ANY, 0..200)) {
-        let _ = blob_version(&bytes);
         let _ = FlatSnapshot::validate(&bytes);
         let _ = decode_snapshot_v2(&bytes);
-        let _ = downgrade(&bytes);
-        let _ = decode_snapshot(&bytes);
     }
 
-    /// Bytes that *start* like a v2 snapshot (magic + version) but carry
+    /// Bytes that *start* like a snapshot (magic + version) but carry
     /// fuzzed counts and body still only produce typed errors.
     #[test]
     fn crafted_headers_never_panic(body in proptest::collection::vec(proptest::bits::u8::ANY, 0..160)) {
@@ -66,7 +60,7 @@ proptest! {
         let _ = decode_snapshot_v2(&bytes);
     }
 
-    /// On arbitrary worlds the v2 roundtrip is lossless — graph, labels,
+    /// On arbitrary worlds the roundtrip is lossless — graph, labels,
     /// categories, and inverted indexes all agree — and re-encoding the
     /// decoded world reproduces the blob bit for bit.
     #[test]
@@ -99,32 +93,6 @@ proptest! {
         prop_assert_eq!(encode_snapshot_v2(&g2, &labels2, &inverted2), blob);
     }
 
-    /// The v1 and v2 codecs agree: downgrading a v2 blob yields exactly
-    /// the direct v1 encoding, and decoding either format reconstructs
-    /// the same distances.
-    #[test]
-    fn v1_and_v2_paths_agree(
-        n in 2usize..12,
-        edges in proptest::collection::vec((0u32..12, 0u32..12, 1u64..50), 1..25),
-        members in proptest::collection::vec((0u32..12, 0u32..3), 0..12),
-    ) {
-        let (g, labels, inverted) = world(n, &edges, &members);
-        let v2 = encode_snapshot_v2(&g, &labels, &inverted);
-        let v1 = downgrade(&v2).expect("world fits v1");
-        prop_assert_eq!(&v1, &encode_snapshot(&g, &labels).unwrap());
-        let (g1, l1) = decode_snapshot(&v1).expect("v1 decodes");
-        let (g2, l2, _) = decode_snapshot_v2(&v2).expect("v2 decodes");
-        for s in g.vertices() {
-            prop_assert_eq!(
-                g1.out_edges(s).collect::<Vec<_>>(),
-                g2.out_edges(s).collect::<Vec<_>>()
-            );
-            for t in g.vertices() {
-                prop_assert_eq!(l1.distance(s, t), l2.distance(s, t));
-            }
-        }
-    }
-
     /// Truncations and single-byte mutations of a valid blob never panic:
     /// validate() answers Ok (a benign flip, e.g. inside a weight) or a
     /// typed error, and a flipped blob that still validates must still
@@ -146,27 +114,21 @@ proptest! {
         let mut mutated = blob.clone();
         mutated[flip_pos % blob.len()] ^= flip_bits;
         let _ = decode_snapshot_v2(&mutated);
-        let _ = downgrade(&mutated);
     }
 }
 
-/// Deterministic spot checks complementing the sweeps above.
+/// A blob under any version byte but the flat-arena one is refused with a
+/// typed version error, however well-formed the rest of it is.
 #[test]
-fn version_dispatch_and_interop() {
+fn other_versions_are_refused_typed() {
     let (g, labels, inverted) = world(5, &[(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5)], &[(1, 0)]);
-    let v2 = encode_snapshot_v2(&g, &labels, &inverted);
-    let v1 = encode_snapshot(&g, &labels).unwrap();
-    assert_eq!(blob_version(&v2), Some(2));
-    assert_eq!(blob_version(&v1), Some(1));
-    // The v1 decoder refuses a v2 blob with a *typed* version error (what
-    // an old binary reports when handed the new format).
-    assert!(matches!(
-        decode_snapshot(&v2),
-        Err(kosr_index::snapshot::SnapshotError::UnsupportedVersion { found: 2 })
-    ));
-    // And the v2 validator refuses a v1 blob the same way.
-    assert!(matches!(
-        FlatSnapshot::validate(&v1),
-        Err(kosr_index::snapshot::SnapshotError::UnsupportedVersion { found: 1 })
-    ));
+    let blob = encode_snapshot_v2(&g, &labels, &inverted);
+    for version in (0..=u8::MAX).filter(|&v| v != FLAT_SNAPSHOT_VERSION) {
+        let mut other = blob.clone();
+        other[8] = version;
+        assert_eq!(
+            decode_snapshot_v2(&other).map(|_| ()),
+            Err(SnapshotError::UnsupportedVersion { found: version })
+        );
+    }
 }

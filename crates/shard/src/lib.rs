@@ -105,7 +105,7 @@ pub(crate) fn shadow_of(
 pub use build::ShardSet;
 pub use bus::{BusReceipt, LiveUpdateBus};
 pub use error::ShardError;
-pub use merge::merge_topk;
+pub use merge::merge_topk_bounded;
 pub use observe::{ObserverRegistry, UpdateObserver};
 pub use router::{ShardRouter, ShardTicket, ShardedResponse};
 pub use supervisor::{FleetSupervisor, SupervisorConfig, SupervisorHandle, SupervisorReport};

@@ -21,28 +21,23 @@ use kosr_graph::{VertexId, Weight};
 /// Under those, the first `k` pops are exactly the canonical top-k of the
 /// union — bit-identical to an unsharded canonical run.
 ///
-/// Per-query instrumentation is aggregated: additive counters sum across
-/// shards, `heap_peak` takes the max, per-level counts add element-wise,
-/// and `time.total` takes the max (shards run in parallel; the merged
-/// total reports the critical path).
-pub fn merge_topk(streams: Vec<KosrOutcome>, k: usize) -> KosrOutcome {
-    let bounds = vec![0; streams.len()];
-    merge_topk_bounded(streams, k, &bounds)
-}
-
-/// [`merge_topk`] with an **admissible per-stream cost lower bound**:
-/// `bounds[i]` must not exceed the cost of any witness in `streams[i]`
-/// (the router derives it from the shard's category-chain table; `0` is
-/// always sound). Streams are admitted to the cursor heap lazily — stream
-/// `i` only materializes a cursor once `bounds[i]` is ≤ the cost at the
-/// front of the heap (`≤`, not `<`: an equal-cost witness can still win
-/// the canonical lexicographic tie-break). A stream whose bound stays
-/// above the k-th answer never has its head cloned at all, and once `k`
-/// witnesses are out the merge stops without touching the rest.
+/// `bounds[i]` is an **admissible cost lower bound** for `streams[i]`: it
+/// must not exceed the cost of any witness in the stream (the router
+/// derives it from the shard's category-chain table; `0` is always sound).
+/// Streams are admitted to the cursor heap lazily — stream `i` only
+/// materializes a cursor once `bounds[i]` is ≤ the cost at the front of
+/// the heap (`≤`, not `<`: an equal-cost witness can still win the
+/// canonical lexicographic tie-break). A stream whose bound stays above
+/// the k-th answer never has its head cloned at all, and once `k`
+/// witnesses are out the merge stops without touching the rest. With
+/// admissible bounds the output is the same as with all-zero bounds: a
+/// stream held back by its bound cannot, by admissibility, contain the
+/// next canonical pop.
 ///
-/// With admissible bounds the output is **bit-identical** to
-/// [`merge_topk`]: a stream held back by its bound cannot, by
-/// admissibility, contain the next canonical pop.
+/// Per-query instrumentation is aggregated over every stream: additive
+/// counters sum across shards, `heap_peak` takes the max, per-level counts
+/// add element-wise, and `time.total` takes the max (shards run in
+/// parallel; the merged total reports the critical path).
 pub fn merge_topk_bounded(streams: Vec<KosrOutcome>, k: usize, bounds: &[Weight]) -> KosrOutcome {
     assert_eq!(
         streams.len(),
@@ -133,7 +128,7 @@ mod tests {
     fn merges_by_cost_then_lexicographic() {
         let a = stream(vec![w(5, 3), w(7, 1)]);
         let b = stream(vec![w(5, 2), w(6, 8)]);
-        let out = merge_topk(vec![a, b], 3);
+        let out = merge_topk_bounded(vec![a, b], 3, &[0, 0]);
         assert_eq!(out.costs(), vec![5, 5, 6]);
         // Cost-5 tie: vertex tuple [0,2,9] sorts before [0,3,9].
         assert_eq!(out.witnesses[0].vertices[1], VertexId(2));
@@ -165,13 +160,13 @@ mod tests {
             .collect();
         union.sort_by(|x, y| x.canonical_cmp(y));
         for k in [1, 3, 8, 20, 50] {
-            let merged = merge_topk(streams.clone(), k);
+            let merged = merge_topk_bounded(streams.clone(), k, &[0; 5]);
             assert_eq!(merged.witnesses[..], union[..k.min(union.len())]);
         }
     }
 
     #[test]
-    fn bounded_merge_matches_unbounded_under_admissible_bounds() {
+    fn admissible_bounds_match_zero_bounds() {
         let streams: Vec<KosrOutcome> = (0..5)
             .map(|s| {
                 let mut ws: Vec<Witness> = (0..4)
@@ -187,7 +182,7 @@ mod tests {
             .map(|s| s.witnesses.first().map_or(0, |w| w.cost))
             .collect();
         for k in [1, 2, 5, 20] {
-            let base = merge_topk(streams.clone(), k);
+            let base = merge_topk_bounded(streams.clone(), k, &[0; 5]);
             let opt = merge_topk_bounded(streams.clone(), k, &bounds);
             assert_eq!(base.witnesses, opt.witnesses, "k={k}");
         }
@@ -230,12 +225,12 @@ mod tests {
         b.stats.heap_peak = 9;
         b.stats.truncated = true;
         b.stats.bound_pruned = 2;
-        let out = merge_topk(vec![a, b], 5);
+        let out = merge_topk_bounded(vec![a, b], 5, &[0, 0]);
         assert_eq!(out.costs(), vec![1]);
         assert_eq!(out.stats.examined_routes, 14);
         assert_eq!(out.stats.bound_pruned, 5);
         assert_eq!(out.stats.heap_peak, 9);
         assert!(out.stats.truncated);
-        assert!(merge_topk(vec![], 3).witnesses.is_empty());
+        assert!(merge_topk_bounded(vec![], 3, &[]).witnesses.is_empty());
     }
 }

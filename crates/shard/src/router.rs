@@ -14,7 +14,9 @@ use kosr_service::{
     SloSpec, Span, TraceContext,
 };
 use kosr_transport::protocol::{MemberCounts, SnapshotBlob};
-use kosr_transport::{InProcTransport, ReplicaSet, ShardTransport, TransportTicket};
+use kosr_transport::{
+    InProcTransport, ReplicaSet, ShardTransport, TransportError, TransportTicket,
+};
 
 use crate::build::ShardSet;
 use crate::bus::LiveUpdateBus;
@@ -90,6 +92,9 @@ pub struct ShardedResponse {
 #[must_use = "a shard ticket must be waited on to observe the merged result"]
 pub struct ShardTicket {
     parts: Vec<(usize, TransportTicket)>,
+    /// The query's first category and the shadow id the parts were
+    /// rewritten to (`None` for an empty category sequence).
+    first_stop: Option<(CategoryId, CategoryId)>,
     /// Admissible per-stream cost lower bounds, aligned with `parts` —
     /// `0` for shards whose bound could not be computed locally.
     bounds: Vec<Weight>,
@@ -104,13 +109,29 @@ impl ShardTicket {
     /// per-shard failure (rejection, or a shard with no replica left)
     /// fails the whole query — partial top-k sets cannot be proven
     /// correct.
+    ///
+    /// One refusal is not a failure: a shard whose replica reports its
+    /// shadow of `C₁` empty. Fan-out was planned from a member-count
+    /// report that a concurrent membership update made stale — the update
+    /// removed the shard's last `C₁` member — so the shard's route
+    /// subspace is empty and it counts as an empty stream. When every
+    /// shard refuses that way, `C₁` has no members left anywhere and the
+    /// answer is the unsharded service's `EmptyCategory(C₁)`.
     pub fn wait(self) -> Result<ShardedResponse, ShardError> {
         let mut shards = Vec::with_capacity(self.parts.len());
         let mut streams = Vec::with_capacity(self.parts.len());
+        let mut bounds = Vec::with_capacity(self.parts.len());
         let mut cached_shards = 0;
         let mut spans = Vec::new();
-        for (shard, ticket) in self.parts {
-            let resp = ticket.wait().map_err(ShardError::from)?;
+        let planned = self.parts.len();
+        for ((shard, ticket), bound) in self.parts.into_iter().zip(self.bounds) {
+            let resp = match ticket.wait() {
+                Ok(resp) => resp,
+                Err(TransportError::Service(ServiceError::InvalidQuery(
+                    QueryError::EmptyCategory(c),
+                ))) if self.first_stop.is_some_and(|(_, shadow)| shadow == c) => continue,
+                Err(e) => return Err(e.into()),
+            };
             if let Some(ctx) = &self.trace {
                 // The shard span: fan-out until *this* shard's answer was
                 // observed. The replica's own spans hang beneath it (the
@@ -131,10 +152,16 @@ impl ShardTicket {
             shards.push(shard);
             cached_shards += resp.cached as usize;
             streams.push(resp.outcome);
+            bounds.push(bound);
+        }
+        if let Some((c1, _)) = self.first_stop.filter(|_| planned > 0 && shards.is_empty()) {
+            return Err(ShardError::Service(ServiceError::InvalidQuery(
+                QueryError::EmptyCategory(c1),
+            )));
         }
         let merge_started = Instant::now();
         let merge_start_us = elapsed_us(self.submitted);
-        let outcome = merge_topk_bounded(streams, self.k, &self.bounds);
+        let outcome = merge_topk_bounded(streams, self.k, &bounds);
         if let Some(ctx) = &self.trace {
             spans.push(Span {
                 id: span_id_for(ctx.trace_id, ctx.parent_span, 0),
@@ -545,6 +572,7 @@ impl ShardRouter {
         }
         Ok(ShardTicket {
             parts,
+            first_stop: query.categories.first().map(|&c1| (c1, self.shadow(c1))),
             bounds,
             skipped,
             k,

@@ -19,6 +19,10 @@ pub(crate) struct FanoutCache {
     /// `Arc` so the hot path hands out a pointer clone, not a copy of the
     /// whole per-category count vector.
     entries: Vec<Mutex<Option<Arc<MemberCounts>>>>,
+    /// Bumped by every [`FanoutCache::invalidate_all`]: a report whose read
+    /// straddled an invalidation may predate it and is served but never
+    /// stored.
+    generation: AtomicU64,
     reads: AtomicU64,
 }
 
@@ -26,6 +30,7 @@ impl FanoutCache {
     pub(crate) fn new(num_shards: usize) -> FanoutCache {
         FanoutCache {
             entries: (0..num_shards).map(|_| Mutex::new(None)).collect(),
+            generation: AtomicU64::new(0),
             reads: AtomicU64::new(0),
         }
     }
@@ -41,14 +46,18 @@ impl FanoutCache {
         if let Some(mc) = slot.as_ref() {
             return Ok(Arc::clone(mc));
         }
+        let generation = self.generation.load(Ordering::Acquire);
         let mc = Arc::new(set.call_with_failover(|t| t.member_counts())?);
         self.reads.fetch_add(1, Ordering::Relaxed);
-        *slot = Some(Arc::clone(&mc));
+        if self.generation.load(Ordering::Acquire) == generation {
+            *slot = Some(Arc::clone(&mc));
+        }
         Ok(mc)
     }
 
     /// Drops every cached report (membership counts changed somewhere).
     pub(crate) fn invalidate_all(&self) {
+        self.generation.fetch_add(1, Ordering::AcqRel);
         for e in &self.entries {
             *e.lock().unwrap() = None;
         }

@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use kosr_core::{IndexedGraph, Query};
-use kosr_graph::{Graph, PartitionConfig, Partitioner};
+use kosr_graph::{CategoryId, Graph, PartitionConfig, Partitioner, VertexId};
 use kosr_service::{KosrService, ServiceConfig, Update};
-use kosr_shard::{LiveUpdateBus, ShardError, ShardRouter, ShardSet};
+use kosr_shard::{InProcTransport, LiveUpdateBus, ShardError, ShardRouter, ShardSet};
 use kosr_workloads::{
     assign_uniform, assign_zipf, gen_membership_flips, gen_mixed_traffic, road_grid_directed,
     social_graph, MembershipFlip, TrafficMix,
@@ -267,4 +267,104 @@ fn replicated_router_is_bit_identical_to_unsharded() {
             (s, u) => panic!("divergence: sharded {s:?} vs unsharded {u:?}"),
         }
     }
+}
+
+/// Regression: fan-out planned from a member-count report that a
+/// membership change made stale. Removing every `C0` member one shard owns
+/// *directly on that shard's replica* leaves the router's count cache warm
+/// and stale — the race window of a concurrent publish, made
+/// deterministic. The stale plan still sends the shard the query rewritten
+/// to its shadow of `C0`, which the replica refuses as an empty category;
+/// that refusal must not leak out. The merged answer equals the unsharded
+/// oracle over the same world, and once every shard's share is gone the
+/// answer is the oracle's `EmptyCategory(C0)`.
+#[test]
+fn stale_fanout_plans_answer_like_the_oracle() {
+    let mut g = road_grid_directed(8, 8, 5);
+    assign_uniform(&mut g, 3, 16, 7);
+    let ig = IndexedGraph::build_default(g.clone());
+    let partition = Partitioner::new(PartitionConfig {
+        num_shards: 2,
+        ..Default::default()
+    })
+    .partition(&ig.graph);
+    let set = ShardSet::build(&ig, partition);
+    let (c0, c1) = (CategoryId(0), CategoryId(1));
+    let shadow = set.shadow(c0);
+    let owned: Vec<Vec<VertexId>> = (0..2)
+        .map(|j| set.shard(j).graph.categories().vertices_of(shadow).to_vec())
+        .collect();
+    assert!(
+        owned.iter().all(|o| !o.is_empty()),
+        "both shards own C0 members: {owned:?}"
+    );
+
+    // Remote-style fleet: replicas behind transports only, so the router
+    // plans from its count cache alone.
+    let config = ServiceConfig {
+        workers: 1,
+        ..Default::default()
+    };
+    let replicas: Vec<Arc<KosrService>> = (0..2)
+        .map(|j| {
+            Arc::new(KosrService::new(
+                Arc::new(set.shard(j).clone()),
+                config.clone(),
+            ))
+        })
+        .collect();
+    let router = ShardRouter::from_transports(
+        replicas
+            .iter()
+            .map(|svc| vec![Arc::new(InProcTransport::new(Arc::clone(svc))) as _])
+            .collect(),
+        set.partition().clone(),
+        set.base_categories(),
+        set.partition_stats().clone(),
+    );
+    let oracle = KosrService::new(Arc::new(ig), config);
+    let q = Query::new(VertexId(0), VertexId(63), vec![c0, c1], 4);
+    let ask_oracle = || oracle.submit(q.clone()).and_then(|t| t.wait());
+    let ask_router = || router.submit(q.clone()).and_then(|t| t.wait());
+
+    // Warm the count cache.
+    assert_eq!(
+        ask_router().unwrap().outcome.witnesses,
+        ask_oracle().unwrap().outcome.witnesses
+    );
+    let reads = router.fanout_reads();
+
+    // Empty one shard's share of C0 behind the router's back, then the
+    // other's; the oracle sees the same removals through the base ids.
+    for (j, members) in owned.iter().enumerate() {
+        for &v in members {
+            for category in [c0, shadow] {
+                replicas[j]
+                    .apply_update(&Update::RemoveMembership {
+                        vertex: v,
+                        category,
+                    })
+                    .unwrap();
+            }
+            oracle
+                .apply_update(&Update::RemoveMembership {
+                    vertex: v,
+                    category: c0,
+                })
+                .unwrap();
+        }
+        match (ask_router(), ask_oracle()) {
+            (Ok(sharded), Ok(plain)) => {
+                assert_eq!(sharded.outcome.witnesses, plain.outcome.witnesses, "j={j}")
+            }
+            (Err(ShardError::Service(sharded)), Err(plain)) => assert_eq!(sharded, plain, "j={j}"),
+            (sharded, plain) => panic!("j={j}: sharded {sharded:?} vs oracle {plain:?}"),
+        }
+    }
+    assert!(ask_oracle().is_err(), "C0 is empty everywhere by now");
+    assert_eq!(
+        router.fanout_reads(),
+        reads,
+        "the plans came from the stale cache"
+    );
 }

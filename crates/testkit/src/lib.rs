@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use kosr_core::Query;
-use kosr_service::{TraceContext, Update, UpdateReceipt};
+use kosr_service::{Event, TraceContext, Update, UpdateReceipt};
 use kosr_transport::protocol::{Heartbeat, MemberCounts, SnapshotBlob};
 use kosr_transport::{ShardTransport, TransportError, TransportTicket};
 use rand::rngs::StdRng;
@@ -204,44 +204,13 @@ impl FaultyTransport {
 }
 
 impl ShardTransport for FaultyTransport {
-    fn submit(&self, query: Query) -> TransportTicket {
+    /// The one fault decision per query frame; the trace context rides
+    /// through to the inner transport untouched.
+    fn submit_traced(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket {
         match self.schedule.next_fault() {
             Fault::Drop => TransportTicket::ready(Err(dropped("query frame dropped"))),
             Fault::DropResponse => {
                 // The replica computes the answer; the caller never sees it.
-                let ticket = self.inner.submit(query);
-                TransportTicket::new(move || {
-                    let _ = ticket.wait();
-                    Err(dropped("query response dropped"))
-                })
-            }
-            Fault::Delay => {
-                let delay = self.schedule.delay();
-                let ticket = self.inner.submit(query);
-                TransportTicket::new(move || {
-                    std::thread::sleep(delay);
-                    ticket.wait()
-                })
-            }
-            Fault::Duplicate => {
-                let first = self.inner.submit(query.clone());
-                // The duplicate executes; its response is discarded. (An
-                // unwaited ticket is exactly a response nobody reads.)
-                let _duplicate = self.inner.submit(query);
-                first
-            }
-            Fault::None => self.inner.submit(query),
-        }
-    }
-
-    fn submit_traced(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket {
-        // Same fault machinery as `submit` — one decision per data-plane
-        // frame, so traced and untraced runs of the same schedule stay
-        // aligned — but the trace context rides through to the inner
-        // transport instead of being dropped by the trait default.
-        match self.schedule.next_fault() {
-            Fault::Drop => TransportTicket::ready(Err(dropped("query frame dropped"))),
-            Fault::DropResponse => {
                 let ticket = self.inner.submit_traced(query, ctx);
                 TransportTicket::new(move || {
                     let _ = ticket.wait();
@@ -258,6 +227,8 @@ impl ShardTransport for FaultyTransport {
             }
             Fault::Duplicate => {
                 let first = self.inner.submit_traced(query.clone(), ctx);
+                // The duplicate executes; its response is discarded. (An
+                // unwaited ticket is exactly a response nobody reads.)
                 let _duplicate = self.inner.submit_traced(query, ctx);
                 first
             }
@@ -291,8 +262,8 @@ impl ShardTransport for FaultyTransport {
 
     // Control plane passes through unfaulted (see the crate docs).
 
-    fn ping(&self) -> Result<Heartbeat, TransportError> {
-        self.inner.ping()
+    fn ping_events(&self, since_seq: u64) -> Result<(Heartbeat, u64, Vec<Event>), TransportError> {
+        self.inner.ping_events(since_seq)
     }
 
     fn member_counts(&self) -> Result<MemberCounts, TransportError> {
@@ -402,6 +373,38 @@ mod tests {
         let s = FaultSchedule::new(1, FaultConfig::quiet());
         assert!((0..256).all(|_| s.next_fault() == Fault::None));
         assert_eq!(s.total_injected(), 0);
+    }
+
+    #[test]
+    fn replica_events_drain_through_the_wrapper() {
+        let fx = kosr_core::figure1::figure1();
+        let ig = Arc::new(kosr_core::IndexedGraph::build_default(fx.graph.clone()));
+        let svc = Arc::new(kosr_service::KosrService::new(
+            ig,
+            kosr_service::ServiceConfig {
+                workers: 1,
+                ..Default::default()
+            },
+        ));
+        let faulty = FaultyTransport::new(
+            Arc::new(kosr_transport::InProcTransport::new(svc)),
+            Arc::new(FaultSchedule::new(1, FaultConfig::quiet())),
+        );
+        let gone = fx.graph.categories().vertices_of(fx.re)[0];
+        faulty
+            .apply_update(&Update::RemoveMembership {
+                vertex: gone,
+                category: fx.re,
+            })
+            .unwrap();
+        // The applied update journaled an epoch swap on the replica; the
+        // wrapper must forward the drain, not answer an empty one.
+        let (hb, next, events) = faulty.ping_events(0).unwrap();
+        assert_eq!(hb.epoch, 1);
+        assert_eq!(next, 1);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, kosr_service::EventKind::EpochSwap);
+        assert_eq!(faulty.ping().unwrap().epoch, 1);
     }
 
     #[test]

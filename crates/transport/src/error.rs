@@ -26,7 +26,7 @@ pub enum TransportError {
     /// The remote service rejected the update. Deterministic.
     Update(UpdateError),
     /// The remote snapshot blob failed to decode.
-    Snapshot(kosr_index::snapshot::SnapshotError),
+    Snapshot(kosr_index::arena::SnapshotError),
     /// A compaction notice named a log head behind what the replica has
     /// already recorded — the sender's view of the update log is stale.
     /// Deterministic: retrying on another replica would not help the

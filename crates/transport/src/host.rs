@@ -5,70 +5,66 @@
 use std::sync::Arc;
 
 use kosr_core::IndexedGraph;
-use kosr_service::KosrService;
+use kosr_service::{KosrService, ServiceError, Ticket};
 
-use crate::protocol::{
-    Heartbeat, MemberCounts, RemoteResponse, Request, Response, SnapshotBlob, PROTOCOL_VERSION,
-};
+use crate::protocol::{Heartbeat, MemberCounts, RemoteResponse, Request, Response, SnapshotBlob};
 
-/// Answers one request against `service`. Query requests block until the
-/// service responds (the caller decides how to overlap requests — the TCP
-/// server runs one handler thread per in-flight request, the in-process
-/// transport keeps the service's own ticket asynchrony).
-pub fn handle_request(service: &Arc<KosrService>, req: Request) -> Response {
-    match req {
-        Request::Query(q) => Response::Query(service.submit(q).and_then(|t| t.wait()).map(
-            |resp| RemoteResponse {
-                outcome: resp.outcome,
-                cached: resp.cached,
-                spans: Vec::new(),
-            },
-        )),
-        Request::QueryTraced(q, ctx) => Response::Query(
-            service
-                .submit_traced(q, Some(ctx))
-                .and_then(|t| t.wait())
-                .map(|resp| RemoteResponse {
+/// A request the replica has started answering: queries are already
+/// enqueued on the service, everything else is already answered.
+pub(crate) enum Answer {
+    /// A query waiting on the service's worker pool.
+    Query(Result<Ticket, ServiceError>),
+    /// Any other request's response.
+    Ready(Response),
+}
+
+impl Answer {
+    /// Blocks until the response exists.
+    pub(crate) fn wait(self) -> Response {
+        match self {
+            Answer::Query(ticket) => {
+                Response::Query(ticket.and_then(|t| t.wait()).map(|resp| RemoteResponse {
                     outcome: resp.outcome,
                     cached: resp.cached,
                     spans: resp.spans,
-                }),
-        ),
-        Request::Hello { max_version: _ } => Response::Hello {
-            max_version: PROTOCOL_VERSION,
-        },
+                }))
+            }
+            Answer::Ready(resp) => resp,
+        }
+    }
+}
+
+/// Starts answering `req` against `service` without blocking on a query —
+/// the in-process loopback keeps the service's own ticket asynchrony.
+pub(crate) fn dispatch(service: &Arc<KosrService>, req: Request) -> Answer {
+    let resp = match req {
+        Request::Query(q) => return Answer::Query(service.submit(q)),
+        Request::QueryTraced(q, ctx) => return Answer::Query(service.submit_traced(q, Some(ctx))),
         Request::Update(u) => Response::Update(service.apply_update(&u)),
-        Request::Ping => Response::Pong(Heartbeat {
-            epoch: service.index_epoch(),
-        }),
-        Request::MemberCounts => Response::MemberCounts(member_counts(service)),
-        Request::Snapshot => {
-            // The legacy pull promises a v1 blob; a world too large for
-            // v1's u32 counts is a typed refusal, never a truncated blob.
-            let (epoch, ig) = service.epoch_and_index();
-            match ig.encode_snapshot_v1() {
-                Ok(bytes) => Response::Snapshot(SnapshotBlob { epoch, bytes }),
-                Err(_) => Response::Fault(crate::protocol::ProtocolError::Corrupt(
-                    "snapshot exceeds the v1 format; pull with SnapshotV2",
-                )),
+        Request::Ping { since_seq } => {
+            let journal = service.events();
+            let next_seq = journal.next_seq();
+            Response::Pong {
+                heartbeat: Heartbeat {
+                    epoch: service.index_epoch(),
+                },
+                next_seq,
+                // A liveness-only probe (cursor at or past the journal
+                // head) skips the ring walk.
+                events: if since_seq < next_seq {
+                    journal.events_since(since_seq, None, None)
+                } else {
+                    Vec::new()
+                },
             }
         }
-        Request::SnapshotV2 => {
+        Request::MemberCounts => Response::MemberCounts(member_counts(service)),
+        Request::Snapshot => {
             let (epoch, ig) = service.epoch_and_index();
             Response::Snapshot(SnapshotBlob {
                 epoch,
                 bytes: ig.encode_snapshot(),
             })
-        }
-        Request::PingEvents { since_seq } => {
-            let journal = service.events();
-            Response::PongEvents {
-                heartbeat: Heartbeat {
-                    epoch: service.index_epoch(),
-                },
-                next_seq: journal.next_seq(),
-                events: journal.events_since(since_seq, None, None),
-            }
         }
         Request::Compact { through } => match service.advance_log_head(through) {
             Ok(head) => Response::Compacted { head },
@@ -89,7 +85,15 @@ pub fn handle_request(service: &Arc<KosrService>, req: Request) -> Response {
             // codec mismatch from channel trouble.
             Err(e) => Response::Install(Err(e)),
         },
-    }
+    };
+    Answer::Ready(resp)
+}
+
+/// Answers one request against `service`. Query requests block until the
+/// service responds (the caller decides how to overlap requests — the TCP
+/// server runs one handler thread per in-flight request).
+pub fn handle_request(service: &Arc<KosrService>, req: Request) -> Response {
+    dispatch(service, req).wait()
 }
 
 /// The member-count report fan-out planning consumes: epoch-stamped member

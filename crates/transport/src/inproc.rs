@@ -6,100 +6,18 @@
 //! fault-injection test suites built on them) exercise byte-for-byte the
 //! same protocol as TCP ones.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use kosr_core::Query;
-use kosr_service::{KosrService, TraceContext, Update, UpdateReceipt};
+use kosr_service::KosrService;
 
-use crate::host::handle_request;
+use crate::client::{FrameExchange, Pending};
+use crate::host::{dispatch, Answer};
 use crate::protocol::{
-    adapt_blob_for_peer, decode_request_limited, decode_response, encode_request, encode_response,
-    Heartbeat, MemberCounts, ProtocolError, RemoteResponse, Request, Response, SnapshotBlob,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, SNAPSHOT_V2_VERSION,
+    decode_request, decode_response, encode_request, encode_response, ProtocolError, Request,
+    Response,
 };
-use crate::{ShardTransport, TransportError, TransportTicket};
-
-/// Maps a decoded response onto the query call's result.
-pub(crate) fn expect_query(resp: Response) -> Result<RemoteResponse, TransportError> {
-    match resp {
-        Response::Query(Ok(rr)) => Ok(rr),
-        Response::Query(Err(e)) => Err(TransportError::Service(e)),
-        Response::Fault(e) => Err(TransportError::Protocol(e)),
-        _ => Err(unexpected()),
-    }
-}
-
-pub(crate) fn expect_update(resp: Response) -> Result<UpdateReceipt, TransportError> {
-    match resp {
-        Response::Update(Ok(receipt)) => Ok(receipt),
-        Response::Update(Err(e)) => Err(TransportError::Update(e)),
-        Response::Fault(e) => Err(TransportError::Protocol(e)),
-        _ => Err(unexpected()),
-    }
-}
-
-pub(crate) fn expect_pong(resp: Response) -> Result<Heartbeat, TransportError> {
-    match resp {
-        Response::Pong(hb) => Ok(hb),
-        Response::Fault(e) => Err(TransportError::Protocol(e)),
-        _ => Err(unexpected()),
-    }
-}
-
-pub(crate) fn expect_pong_events(
-    resp: Response,
-) -> Result<(Heartbeat, u64, Vec<kosr_service::Event>), TransportError> {
-    match resp {
-        Response::PongEvents {
-            heartbeat,
-            next_seq,
-            events,
-        } => Ok((heartbeat, next_seq, events)),
-        Response::Fault(e) => Err(TransportError::Protocol(e)),
-        _ => Err(unexpected()),
-    }
-}
-
-pub(crate) fn expect_member_counts(resp: Response) -> Result<MemberCounts, TransportError> {
-    match resp {
-        Response::MemberCounts(mc) => Ok(mc),
-        Response::Fault(e) => Err(TransportError::Protocol(e)),
-        _ => Err(unexpected()),
-    }
-}
-
-pub(crate) fn expect_snapshot(resp: Response) -> Result<SnapshotBlob, TransportError> {
-    match resp {
-        Response::Snapshot(blob) => Ok(blob),
-        Response::Fault(e) => Err(TransportError::Protocol(e)),
-        _ => Err(unexpected()),
-    }
-}
-
-pub(crate) fn expect_install(resp: Response) -> Result<Heartbeat, TransportError> {
-    match resp {
-        Response::Install(Ok(hb)) => Ok(hb),
-        Response::Install(Err(e)) => Err(TransportError::Snapshot(e)),
-        Response::Fault(e) => Err(TransportError::Protocol(e)),
-        _ => Err(unexpected()),
-    }
-}
-
-pub(crate) fn expect_compacted(resp: Response) -> Result<u64, TransportError> {
-    match resp {
-        Response::Compacted { head } => Ok(head),
-        Response::CursorTooOld { cursor, head } => {
-            Err(TransportError::CursorTooOld { cursor, head })
-        }
-        Response::Fault(e) => Err(TransportError::Protocol(e)),
-        _ => Err(unexpected()),
-    }
-}
-
-fn unexpected() -> TransportError {
-    TransportError::Protocol(ProtocolError::Corrupt("unexpected response kind"))
-}
+use crate::TransportError;
 
 fn killed_error() -> TransportError {
     TransportError::Connection("replica killed".into())
@@ -137,14 +55,6 @@ pub struct InProcTransport {
     service: Arc<KosrService>,
     killed: Arc<AtomicBool>,
     next_id: AtomicU64,
-    /// The protocol version the simulated replica *speaks* — capping it at
-    /// 2 makes this loopback behave exactly like a v2-era binary (traced
-    /// frames fault typed, Hello is an unknown kind), which is what the
-    /// mixed-fleet interop suites run against.
-    peer_version: u8,
-    /// The peer version learned through [`Request::Hello`]; 0 until the
-    /// first traced submission negotiates.
-    negotiated: AtomicU8,
 }
 
 impl InProcTransport {
@@ -154,43 +64,7 @@ impl InProcTransport {
             service,
             killed: Arc::new(AtomicBool::new(false)),
             next_id: AtomicU64::new(1),
-            peer_version: PROTOCOL_VERSION,
-            negotiated: AtomicU8::new(0),
         }
-    }
-
-    /// Wraps `service` as a loopback replica that speaks at most
-    /// `version` — the v2-peer simulation lever for interop tests.
-    pub fn with_max_version(service: Arc<KosrService>, version: u8) -> InProcTransport {
-        let mut t = InProcTransport::new(service);
-        t.peer_version = version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-        t
-    }
-
-    /// Learns the peer's protocol version (cached after the first probe):
-    /// a Hello roundtrip that a v3 peer answers with its version and a v2
-    /// peer faults with `UnknownKind` — the negotiation the doc block of
-    /// [`crate::protocol`] describes.
-    fn peer_protocol_version(&self) -> u8 {
-        let cached = self.negotiated.load(Ordering::Acquire);
-        if cached != 0 {
-            return cached;
-        }
-        let learned = match self.roundtrip(Request::Hello {
-            max_version: PROTOCOL_VERSION,
-        }) {
-            Ok(Response::Hello { max_version }) => {
-                max_version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION)
-            }
-            // A typed fault (UnknownKind from a v2 peer): the peer
-            // answered, and its answer says v2. Cacheable.
-            Ok(_) => MIN_PROTOCOL_VERSION,
-            // Channel trouble — no answer at all. Fall back to v2 for
-            // this submission but do NOT cache: the peer may be v3.
-            Err(_) => return MIN_PROTOCOL_VERSION,
-        };
-        self.negotiated.store(learned, Ordering::Release);
-        learned
     }
 
     /// The wrapped service (introspection and tests).
@@ -204,158 +78,51 @@ impl InProcTransport {
             flag: Arc::clone(&self.killed),
         }
     }
+}
 
-    fn fresh_id(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Encode → decode → dispatch → encode → decode, all in-process. The
-    /// frame id must survive the full loop — the same invariant the TCP
-    /// demux relies on to route responses.
-    fn roundtrip(&self, req: Request) -> Result<Response, TransportError> {
+impl FrameExchange for InProcTransport {
+    /// Encode → decode → dispatch now; wait → encode → decode when the
+    /// caller redeems. Queries keep the service's own asynchrony (enqueued
+    /// here, waited on in [`Pending::wait`]). The frame id must survive
+    /// the full loop — the same invariant the TCP demux relies on to route
+    /// responses.
+    fn exchange(&self, req: Request) -> Pending {
         if self.killed.load(Ordering::Acquire) {
-            return Err(killed_error());
+            return Pending::ready(Err(killed_error()));
         }
-        let id = self.fresh_id();
-        let frame = encode_request(id, &req);
-        // Server side, decoding as the (possibly version-capped) peer
-        // would: an undecodable frame is answered with a typed Fault —
-        // the same contract the TCP server keeps.
-        let resp = match decode_request_limited(&frame, self.peer_version) {
-            Ok((_, req)) => handle_request(&self.service, req),
-            Err(e) => Response::Fault(e),
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        // Server side: an undecodable frame is answered with a typed
+        // Fault — the same contract the TCP server keeps.
+        let answer = match decode_request(&encode_request(id, &req)) {
+            Ok((_, req)) => dispatch(&self.service, req),
+            Err(e) => Answer::Ready(Response::Fault(e)),
         };
-        // A version-capped simulation must *answer Hello* as the old
-        // binary would — with its own (capped) version, not this build's.
-        let resp = match resp {
-            Response::Hello { max_version } => Response::Hello {
-                max_version: max_version.min(self.peer_version),
-            },
-            other => other,
-        };
-        let frame = encode_response(id, &resp);
-        let (echoed_id, resp) = decode_response(&frame)?;
-        if echoed_id != id {
-            return Err(TransportError::Protocol(ProtocolError::Corrupt(
-                "response frame id does not match the request",
-            )));
-        }
-        Ok(resp)
-    }
-
-    /// The shared submit path. With a (sampled) context the request goes
-    /// out as a traced v3 frame and the response carries replica spans;
-    /// without one it is byte-for-byte the v2 exchange.
-    fn submit_inner(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket {
-        if self.killed.load(Ordering::Acquire) {
-            return TransportTicket::ready(Err(killed_error()));
-        }
-        let id = self.fresh_id();
-        let req = match ctx {
-            Some(c) => Request::QueryTraced(query, c),
-            None => Request::Query(query),
-        };
-        let frame = encode_request(id, &req);
-        let (decoded, ctx) = match decode_request_limited(&frame, self.peer_version) {
-            Ok((_, Request::Query(q))) => (q, None),
-            Ok((_, Request::QueryTraced(q, c))) => (q, Some(c)),
-            Ok(_) => return TransportTicket::ready(Err(unexpected())),
-            Err(e) => return TransportTicket::ready(Err(e.into())),
-        };
-        // Keep the service's own asynchrony: enqueue now, block in wait().
-        let pending = self.service.submit_traced(decoded, ctx);
         let killed = Arc::clone(&self.killed);
-        TransportTicket::new(move || {
-            let result = pending.and_then(|t| t.wait()).map(|resp| RemoteResponse {
-                outcome: resp.outcome,
-                cached: resp.cached,
-                spans: resp.spans,
-            });
+        Pending::new(move || {
+            let resp = answer.wait();
             if killed.load(Ordering::Acquire) {
                 // The connection died before the response frame arrived.
                 return Err(killed_error());
             }
-            let frame = encode_response(id, &Response::Query(result));
-            let (echoed_id, resp) = decode_response(&frame)?;
+            let (echoed_id, resp) = decode_response(&encode_response(id, &resp))?;
             if echoed_id != id {
                 return Err(TransportError::Protocol(ProtocolError::Corrupt(
                     "response frame id does not match the request",
                 )));
             }
-            expect_query(resp)
+            Ok(resp)
         })
-    }
-}
-
-impl ShardTransport for InProcTransport {
-    fn submit(&self, query: Query) -> TransportTicket {
-        self.submit_inner(query, None)
-    }
-
-    fn submit_traced(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket {
-        // Only sampled contexts are worth a traced frame; and only peers
-        // that negotiated v3 can decode one.
-        let ctx = ctx.filter(|c| c.sampled);
-        if ctx.is_some() && self.peer_protocol_version() < 3 {
-            return self.submit_inner(query, None);
-        }
-        self.submit_inner(query, ctx)
-    }
-
-    fn apply_update(&self, update: &Update) -> Result<UpdateReceipt, TransportError> {
-        expect_update(self.roundtrip(Request::Update(*update))?)
-    }
-
-    fn ping(&self) -> Result<Heartbeat, TransportError> {
-        expect_pong(self.roundtrip(Request::Ping)?)
-    }
-
-    fn member_counts(&self) -> Result<MemberCounts, TransportError> {
-        expect_member_counts(self.roundtrip(Request::MemberCounts)?)
-    }
-
-    fn snapshot(&self) -> Result<SnapshotBlob, TransportError> {
-        // Peers that negotiated v5 serve the flat-arena blob (O(bytes)
-        // install); older ones only know the legacy v1 pull.
-        let req = if self.peer_protocol_version() >= SNAPSHOT_V2_VERSION {
-            Request::SnapshotV2
-        } else {
-            Request::Snapshot
-        };
-        expect_snapshot(self.roundtrip(req)?)
-    }
-
-    fn install_snapshot(&self, blob: &SnapshotBlob) -> Result<Heartbeat, TransportError> {
-        // Pushing a v2 blob at a pre-v5 peer: transcode down client-side
-        // so the old binary installs it natively.
-        let blob = adapt_blob_for_peer(blob, self.peer_protocol_version())
-            .map_err(TransportError::Snapshot)?;
-        expect_install(self.roundtrip(Request::InstallSnapshot(blob))?)
-    }
-
-    fn compact(&self, through: u64) -> Result<u64, TransportError> {
-        expect_compacted(self.roundtrip(Request::Compact { through })?)
-    }
-
-    fn ping_events(
-        &self,
-        since_seq: u64,
-    ) -> Result<(Heartbeat, u64, Vec<kosr_service::Event>), TransportError> {
-        // Only peers that negotiated v4 can decode the event-forwarding
-        // probe; older ones get the plain heartbeat with an empty drain.
-        if self.peer_protocol_version() < 4 {
-            return self.ping().map(|hb| (hb, 0, Vec::new()));
-        }
-        expect_pong_events(self.roundtrip(Request::PingEvents { since_seq })?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::SnapshotBlob;
+    use crate::ShardTransport;
     use kosr_core::figure1::figure1;
-    use kosr_core::IndexedGraph;
-    use kosr_service::{ServiceConfig, ServiceError};
+    use kosr_core::{IndexedGraph, Query};
+    use kosr_service::{ServiceConfig, ServiceError, TraceContext, Update};
 
     fn transport() -> (InProcTransport, kosr_core::figure1::Figure1) {
         let fx = figure1();
@@ -469,32 +236,10 @@ mod tests {
             .expect("replica root span");
         assert_eq!(root.parent, Some(ctx.parent_span));
         assert!(resp.spans.iter().any(|s| s.name == "execute"));
-        // Unsampled contexts cost nothing: the plain v2 exchange.
+        // Unsampled contexts cost nothing: the plain query exchange.
         let unsampled = TraceContext::root(kosr_service::TraceId(8), false);
         let resp = t.submit_traced(q, Some(unsampled)).wait().unwrap();
         assert!(resp.spans.is_empty());
-    }
-
-    #[test]
-    fn v2_peer_negotiates_down_and_still_answers() {
-        let fx = figure1();
-        let ig = Arc::new(IndexedGraph::build_default(fx.graph.clone()));
-        let svc = Arc::new(KosrService::new(
-            ig,
-            ServiceConfig {
-                workers: 1,
-                ..Default::default()
-            },
-        ));
-        let t = InProcTransport::with_max_version(svc, 2);
-        let ctx = TraceContext::root(kosr_service::TraceId(9), true);
-        let q = Query::new(fx.s, fx.t, vec![fx.ma, fx.re, fx.ci], 3);
-        // The Hello probe faults typed, the transport falls back to the
-        // untraced frame, and the answer is still the canonical one.
-        let resp = t.submit_traced(q, Some(ctx)).wait().unwrap();
-        assert_eq!(resp.outcome.costs(), vec![20, 21, 22]);
-        assert!(resp.spans.is_empty(), "a v2 peer cannot produce spans");
-        assert_eq!(t.negotiated.load(Ordering::Acquire), 2, "cached as v2");
     }
 
     #[test]
@@ -520,13 +265,30 @@ mod tests {
         // The cursor advances: a second probe from `next` drains nothing.
         let (_, _, rest) = t.ping_events(next).unwrap();
         assert!(rest.is_empty(), "cursor excludes already-forwarded events");
+    }
 
-        // A v2 peer degrades to the plain heartbeat with an empty drain.
-        let v2 = InProcTransport::with_max_version(Arc::clone(t.service()), 2);
-        let (hb, next, events) = v2.ping_events(0).unwrap();
-        assert_eq!(hb.epoch, 1);
-        assert_eq!(next, 0);
-        assert!(events.is_empty());
+    #[test]
+    fn v1_snapshot_blob_is_refused_typed_on_install() {
+        let (t, _) = transport();
+        // A complete blob in the retired v1 format (an empty world): magic,
+        // version 1, zero vertices/edges/categories, then its label blob.
+        let mut bytes = b"KOSRSNP\0".to_vec();
+        bytes.push(1);
+        bytes.extend_from_slice(&[0; 12]);
+        bytes.extend_from_slice(&12u64.to_le_bytes());
+        bytes.extend_from_slice(b"KOSRHL1\0");
+        bytes.extend_from_slice(&[0; 4]);
+        let err = t
+            .install_snapshot(&SnapshotBlob { epoch: 0, bytes })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TransportError::Snapshot(kosr_index::arena::SnapshotError::UnsupportedVersion {
+                found: 1
+            })
+        );
+        assert!(!err.is_fault(), "a refused blob is a deterministic no");
+        assert_eq!(t.ping().unwrap().epoch, 0, "the old index keeps serving");
     }
 
     #[test]

@@ -26,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod client;
 mod error;
 mod host;
 mod inproc;
@@ -81,29 +82,38 @@ impl std::fmt::Debug for TransportTicket {
 /// One shard replica's wire surface: everything `kosr-shard`'s router and
 /// update bus need, abstracted over *where* the replica runs.
 ///
-/// All methods map 1:1 onto [`protocol`] frames; implementations must
-/// route through the codec so in-process and remote deployments exercise
-/// identical bytes.
+/// All methods map 1:1 onto [`protocol`] frames; the in-process and TCP
+/// transports share one implementation of them and differ only in how a
+/// request frame reaches the replica and its response frame comes back.
 pub trait ShardTransport: Send + Sync {
-    /// Sends a query frame; the ticket blocks for the response frame.
-    fn submit(&self, query: Query) -> TransportTicket;
+    /// Sends a query frame; the ticket blocks for the response frame. A
+    /// sampled trace context travels with the query and the response
+    /// carries the replica-side spans; `None` (or an unsampled context)
+    /// sends the plain query.
+    fn submit_traced(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket;
 
-    /// Sends a query with a trace context attached. Implementations that
-    /// speak protocol v3 send the traced frame (after negotiating the
-    /// peer's version) and return replica-side spans on the response;
-    /// the default drops the context and behaves exactly like
-    /// [`ShardTransport::submit`] — the correct degradation for v2-era
-    /// peers and transports that predate tracing.
-    fn submit_traced(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket {
-        let _ = ctx;
-        self.submit(query)
+    /// [`ShardTransport::submit_traced`] without a trace context.
+    fn submit(&self, query: Query) -> TransportTicket {
+        self.submit_traced(query, None)
     }
 
     /// Sends an update-publish frame and waits for the receipt.
     fn apply_update(&self, update: &Update) -> Result<UpdateReceipt, TransportError>;
 
-    /// Heartbeat: liveness + the replica's index epoch.
-    fn ping(&self) -> Result<Heartbeat, TransportError>;
+    /// Heartbeat that also drains the replica's local lifecycle journal
+    /// from `since_seq`: returns the liveness report, the journal's next
+    /// sequence (the cursor for the following probe) and the drained
+    /// events.
+    fn ping_events(
+        &self,
+        since_seq: u64,
+    ) -> Result<(Heartbeat, u64, Vec<kosr_service::Event>), TransportError>;
+
+    /// Heartbeat: liveness + the replica's index epoch (a
+    /// [`ShardTransport::ping_events`] probe that asks for no events).
+    fn ping(&self) -> Result<Heartbeat, TransportError> {
+        self.ping_events(u64::MAX).map(|(hb, _, _)| hb)
+    }
 
     /// Member counts per category (fan-out planning reads these).
     fn member_counts(&self) -> Result<MemberCounts, TransportError>;
@@ -122,18 +132,4 @@ pub trait ShardTransport: Send + Sync {
     /// `through` behind the recorded head is the typed
     /// [`TransportError::CursorTooOld`].
     fn compact(&self, through: u64) -> Result<u64, TransportError>;
-
-    /// Heartbeat that also drains the replica's local lifecycle journal
-    /// from `since_seq` (the protocol-v4 event-forwarding probe): returns
-    /// the liveness report, the journal's next sequence (the cursor for
-    /// the following probe) and the drained events. The default degrades
-    /// to a plain [`ShardTransport::ping`] with an empty drain — correct
-    /// for pre-v4 peers and transports that predate the journal.
-    fn ping_events(
-        &self,
-        since_seq: u64,
-    ) -> Result<(Heartbeat, u64, Vec<kosr_service::Event>), TransportError> {
-        let _ = since_seq;
-        self.ping().map(|hb| (hb, 0, Vec::new()))
-    }
 }

@@ -22,23 +22,16 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use std::sync::atomic::AtomicU8;
+use kosr_service::KosrService;
 
-use kosr_core::Query;
-use kosr_service::{KosrService, TraceContext, Update, UpdateReceipt};
-
+use crate::client::{FrameExchange, Pending};
 use crate::host::handle_request;
-use crate::inproc::{
-    expect_compacted, expect_install, expect_member_counts, expect_pong, expect_pong_events,
-    expect_query, expect_snapshot, expect_update,
-};
 use crate::mux::DemuxTable;
 use crate::protocol::{
-    adapt_blob_for_peer, decode_request, decode_response, encode_request, encode_response,
-    peek_frame_id, read_frame, write_frame, Heartbeat, MemberCounts, Request, Response,
-    SnapshotBlob, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, SNAPSHOT_V2_VERSION,
+    decode_request, decode_response, encode_request, encode_response, peek_frame_id, read_frame,
+    write_frame, Request, Response,
 };
-use crate::{ShardTransport, TransportError, TransportTicket};
+use crate::TransportError;
 
 /// How often blocked server reads wake up to check for shutdown.
 const POLL: Duration = Duration::from_millis(25);
@@ -328,10 +321,6 @@ pub struct TcpTransport {
     addr: SocketAddr,
     deadline: Duration,
     conn: Mutex<Option<Arc<MuxConn>>>,
-    /// Peer version learned by [`Request::Hello`]; 0 until negotiated.
-    /// Cached per transport — replicas in one fleet run one build, and a
-    /// wrong cache is only a lost trace, never a wrong answer.
-    negotiated: AtomicU8,
 }
 
 fn conn_err(e: std::io::Error) -> TransportError {
@@ -353,30 +342,7 @@ impl TcpTransport {
             addr,
             deadline,
             conn: Mutex::new(None),
-            negotiated: AtomicU8::new(0),
         }
-    }
-
-    /// Learns (and caches) the peer's protocol version through a Hello
-    /// roundtrip. A v3 server answers [`Response::Hello`]; a v2 server
-    /// answers a typed `Fault(UnknownKind)` — both definitive. Channel
-    /// trouble returns the v2 floor without caching.
-    fn peer_protocol_version(&self) -> u8 {
-        let cached = self.negotiated.load(Ordering::Acquire);
-        if cached != 0 {
-            return cached;
-        }
-        let learned = match self.roundtrip(&Request::Hello {
-            max_version: PROTOCOL_VERSION,
-        }) {
-            Ok(Response::Hello { max_version }) => {
-                max_version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION)
-            }
-            Ok(_) => MIN_PROTOCOL_VERSION,
-            Err(_) => return MIN_PROTOCOL_VERSION,
-        };
-        self.negotiated.store(learned, Ordering::Release);
-        learned
     }
 
     /// The live connection, dialing (or re-dialing after a death) on
@@ -392,93 +358,31 @@ impl TcpTransport {
         *guard = Some(Arc::clone(&conn));
         Ok(conn)
     }
-
-    fn roundtrip(&self, req: &Request) -> Result<Response, TransportError> {
-        self.mux()?.send(req).wait(self.deadline)
-    }
 }
 
-impl ShardTransport for TcpTransport {
-    fn submit(&self, query: Query) -> TransportTicket {
-        // No thread per request: the completion slot is the in-flight
-        // state, and the ticket just waits on it.
-        let deadline = self.deadline;
-        match self.mux() {
-            Ok(conn) => {
-                let completion = conn.send(&Request::Query(query));
-                TransportTicket::new(move || completion.wait(deadline).and_then(expect_query))
-            }
-            Err(e) => TransportTicket::ready(Err(e)),
-        }
-    }
-
-    fn submit_traced(&self, query: Query, ctx: Option<TraceContext>) -> TransportTicket {
-        let req = match ctx.filter(|c| c.sampled) {
-            Some(c) if self.peer_protocol_version() >= 3 => Request::QueryTraced(query, c),
-            _ => Request::Query(query),
-        };
-        let deadline = self.deadline;
+impl FrameExchange for TcpTransport {
+    /// Enqueues the frame on the live connection; no thread per request —
+    /// the completion slot is the in-flight state.
+    fn exchange(&self, req: Request) -> Pending {
         match self.mux() {
             Ok(conn) => {
                 let completion = conn.send(&req);
-                TransportTicket::new(move || completion.wait(deadline).and_then(expect_query))
+                let deadline = self.deadline;
+                Pending::new(move || completion.wait(deadline))
             }
-            Err(e) => TransportTicket::ready(Err(e)),
+            Err(e) => Pending::ready(Err(e)),
         }
-    }
-
-    fn apply_update(&self, update: &Update) -> Result<UpdateReceipt, TransportError> {
-        expect_update(self.roundtrip(&Request::Update(*update))?)
-    }
-
-    fn ping(&self) -> Result<Heartbeat, TransportError> {
-        expect_pong(self.roundtrip(&Request::Ping)?)
-    }
-
-    fn member_counts(&self) -> Result<MemberCounts, TransportError> {
-        expect_member_counts(self.roundtrip(&Request::MemberCounts)?)
-    }
-
-    fn snapshot(&self) -> Result<SnapshotBlob, TransportError> {
-        // Peers that negotiated v5 serve the flat-arena blob; older ones
-        // only know the legacy v1 pull.
-        let req = if self.peer_protocol_version() >= SNAPSHOT_V2_VERSION {
-            Request::SnapshotV2
-        } else {
-            Request::Snapshot
-        };
-        expect_snapshot(self.roundtrip(&req)?)
-    }
-
-    fn install_snapshot(&self, blob: &SnapshotBlob) -> Result<Heartbeat, TransportError> {
-        // Pushing a v2 blob at a pre-v5 peer: transcode down client-side
-        // so the old binary installs it natively.
-        let blob = adapt_blob_for_peer(blob, self.peer_protocol_version())
-            .map_err(TransportError::Snapshot)?;
-        expect_install(self.roundtrip(&Request::InstallSnapshot(blob))?)
-    }
-
-    fn compact(&self, through: u64) -> Result<u64, TransportError> {
-        expect_compacted(self.roundtrip(&Request::Compact { through })?)
-    }
-
-    fn ping_events(
-        &self,
-        since_seq: u64,
-    ) -> Result<(Heartbeat, u64, Vec<kosr_service::Event>), TransportError> {
-        if self.peer_protocol_version() < 4 {
-            return self.ping().map(|hb| (hb, 0, Vec::new()));
-        }
-        expect_pong_events(self.roundtrip(&Request::PingEvents { since_seq })?)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::SnapshotBlob;
+    use crate::{ShardTransport, TransportTicket};
     use kosr_core::figure1::figure1;
-    use kosr_core::IndexedGraph;
-    use kosr_service::ServiceConfig;
+    use kosr_core::{IndexedGraph, Query};
+    use kosr_service::{ServiceConfig, Update};
 
     fn serve() -> (TcpServer, TcpTransport, kosr_core::figure1::Figure1) {
         let fx = figure1();
@@ -571,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn traced_queries_negotiate_and_return_spans_over_the_wire() {
+    fn traced_queries_return_spans_over_the_wire() {
         let (_server, client, fx) = serve();
         let ctx = kosr_service::TraceContext::root(kosr_service::TraceId(5), true);
         let q = Query::new(fx.s, fx.t, vec![fx.ma, fx.re, fx.ci], 3);
@@ -581,11 +485,6 @@ mod tests {
             resp.spans.iter().any(|s| s.name == "replica"),
             "replica spans crossed the socket: {:?}",
             resp.spans
-        );
-        assert_eq!(
-            client.negotiated.load(Ordering::Acquire),
-            PROTOCOL_VERSION,
-            "hello negotiation cached the peer version"
         );
     }
 

@@ -26,12 +26,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn pong(epoch: u64) -> Response {
-    Response::Pong(Heartbeat { epoch })
+    Response::Pong {
+        heartbeat: Heartbeat { epoch },
+        next_seq: 0,
+        events: Vec::new(),
+    }
 }
 
 fn epoch_of(resp: Response) -> u64 {
     match resp {
-        Response::Pong(hb) => hb.epoch,
+        Response::Pong { heartbeat, .. } => heartbeat.epoch,
         other => panic!("not a pong: {other:?}"),
     }
 }
@@ -119,7 +123,7 @@ fn wedged_request_faults_alone_and_late_frames_are_discarded() {
         // the *wedged* id first (stale — must be discarded), then the ping.
         let third = read_frame(&mut stream).unwrap().unwrap();
         let (ping_id, req) = decode_request(&third).unwrap();
-        assert!(matches!(req, Request::Ping));
+        assert!(matches!(req, Request::Ping { .. }));
         write_frame(&mut stream, &encode_response(wedged_id, &answer)).unwrap();
         write_frame(&mut stream, &encode_response(ping_id, &pong(777))).unwrap();
         // Keep the connection open until the client is done.

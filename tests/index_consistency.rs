@@ -1,10 +1,11 @@
 //! Index-layer invariants across crates: the label oracle against Dijkstra
 //! ground truth on real scenario graphs, NN streams against sorted
-//! distances, dynamic category updates against rebuilds, and disk/codec
+//! distances, dynamic category updates against rebuilds, and disk/snapshot
 //! round-trips through the public API.
 
 use kosr::graph::{CategoryId, VertexId};
-use kosr::hoplabel::{codec, HubOrder};
+use kosr::hoplabel::HubOrder;
+use kosr::index::arena::{decode_snapshot_v2, encode_snapshot_v2};
 use kosr::index::{CategoryIndexSet, InvertedLabelIndex, LabelNn, NearestNeighbors};
 use kosr::pathfinding::{Dijkstra, Dir};
 use kosr::workloads::{Scenario, ScenarioName};
@@ -117,8 +118,8 @@ fn dynamic_updates_equal_rebuild() {
     );
 }
 
-/// Codec and disk layouts round-trip through the public API on a scenario
-/// index.
+/// Snapshot and disk layouts round-trip through the public API on a
+/// scenario index.
 #[test]
 fn persistence_roundtrips() {
     use kosr::index::disk::DiskIndex;
@@ -126,8 +127,9 @@ fn persistence_roundtrips() {
     let ch = kosr::ch::build(&g);
     let labels = kosr::hoplabel::build(&g, &HubOrder::from_ch(&ch));
 
-    // In-memory codec.
-    let decoded = codec::decode(&codec::encode(&labels)).unwrap();
+    // In-memory snapshot codec.
+    let inverted = CategoryIndexSet::build(&labels, g.categories());
+    let (_, decoded, _) = decode_snapshot_v2(&encode_snapshot_v2(&g, &labels, &inverted)).unwrap();
     assert_eq!(labels, decoded);
 
     // Disk index.
@@ -157,10 +159,11 @@ proptest! {
     fn codec_never_panics_on_corruption(flip in 0usize..400, val in 0u8..=255) {
         let g = Scenario::new(ScenarioName::Cal).with_scale(0.03).build();
         let labels = kosr::hoplabel::build(&g, &HubOrder::Degree);
-        let mut buf = codec::encode(&labels);
+        let inverted = CategoryIndexSet::build(&labels, g.categories());
+        let mut buf = encode_snapshot_v2(&g, &labels, &inverted);
         let idx = flip % buf.len();
         buf[idx] = val;
-        let _ = codec::decode(&buf); // must not panic
+        let _ = decode_snapshot_v2(&buf); // must not panic
     }
 
     /// Inverted-index incremental updates match rebuilds for arbitrary
